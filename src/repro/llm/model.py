@@ -136,8 +136,8 @@ def _decode_rows(fn, rows: np.ndarray) -> np.ndarray:
     independent of both its offset in the block and the other rows' contents
     — GEMM computes every output row from its own input row only, with a
     per-element accumulation order fixed by the operand shapes.  The decode
-    paths rely on exactly that: the per-request loop runs each token's row
-    alone in a zero-padded block, the fused round packs up to
+    paths rely on exactly that: :meth:`TransformerLM.decode_step` runs one
+    token's row alone in a zero-padded block, the fused round packs up to
     :data:`DECODE_ROW_BLOCK` requests' rows into the same shape (streaming
     each weight matrix once per round instead of once per request), and both
     see identical per-row results.
@@ -440,8 +440,8 @@ class TransformerLM:
 
         ``hidden_rows`` stacks one ``(d,)`` last-token hidden state per
         request; projections run through :func:`_decode_rows`, so a row's
-        results are bitwise identical whether it is projected alone (the
-        per-request loop) or alongside the rest of a fused batch.  RMSNorm
+        results are bitwise identical whether it is projected alone
+        (:meth:`decode_step`) or alongside the rest of a fused batch.  RMSNorm
         and RoPE reduce along per-row axes only and are batch-invariant
         as-is.
 

@@ -8,22 +8,24 @@ layer's selections to cross-request grouped policy kernels
 per-request bookkeeping (``step_selections``, attended-token counts) that the
 engine's billing phase consumes afterwards.
 
-The plan exists so :class:`~repro.serve.InferenceEngine` can run one
-:meth:`~repro.llm.TransformerLM.decode_step_batch` call per engine step
-instead of one :meth:`~repro.llm.TransformerLM.decode_step` call per request,
-while keeping tokens, logits, selections and metrics byte-identical to the
-per-request loop:
+The plan lets :class:`~repro.serve.InferenceEngine` decode with one
+:meth:`~repro.llm.TransformerLM.decode_step_batch` call per fused round
+(one per engine step, or a few when pool pressure splits the round) instead
+of one :meth:`~repro.llm.TransformerLM.decode_step` call per request, while
+keeping tokens, logits and selections byte-identical to decoding each
+request alone:
 
 * per-request state is fully isolated (each request owns its KVCache and
   policy), so running the round layer-major across requests instead of
   request-major cannot change any request's arithmetic;
 * grouped policy kernels are contractually bitwise equal to looping the
   per-request hooks (see :meth:`KVCachePolicy.select_batch`);
-* the selector bookkeeping below replicates the per-request selector closure
-  of the looped path exactly, including the convention that a request with
-  neither a policy nor a selection hook records *no* per-layer selections
-  (its ``selections`` entry stays an empty list, and the engine substitutes
-  the full-attention attended count after the round).
+* the selector bookkeeping below records, per request, exactly what a
+  per-request ``policy.select`` selector would, including the convention
+  that a request with neither a policy nor a selection hook records *no*
+  per-layer selections (its ``selections`` entry stays an empty list, and
+  the engine substitutes the full-attention attended count after the
+  round).
 
 Requests are grouped by *policy class* (order of first occurrence) so each
 class's ``select_batch`` / ``on_decode_step_batch`` override sees every
@@ -62,11 +64,11 @@ class DecodeMember:
     policy: KVCachePolicy | None
     #: optional per-layer observer from the request (test instrumentation)
     hook: object | None
-    #: whether the looped path would build a selector closure for this
-    #: request — exactly ``policy is not None or hook is not None``; members
-    #: without one record no selections and attend to everything
+    #: whether this request needs a selector at all — exactly ``policy is
+    #: not None or hook is not None``; members without one record no
+    #: selections and attend to everything
     needs_selector: bool
-    #: per-layer normalised selections, as the looped selector records them
+    #: per-layer normalised selections (``None`` per layer for full attention)
     step_selections: StepSelections = field(default_factory=list)
     #: per-layer attended-token counts (empty for selector-less members)
     attended: list[float] = field(default_factory=list)
@@ -97,7 +99,7 @@ class DecodeBatch:
     def plan(
         cls, states: "list[RequestState]", num_kv_heads: int
     ) -> "DecodeBatch":
-        """Collect the round's members from the scheduler's decode set."""
+        """Collect the members of one fused run, in decode order."""
         members = []
         for state in states:
             assert state.prefill is not None
@@ -124,7 +126,7 @@ class DecodeBatch:
         return [member.cache for member in self.members]
 
     def build_selector(self) -> BatchSelector | None:
-        """Batch selector replicating the looped path's per-request closure.
+        """Batch selector recording each member's per-layer selections.
 
         Returns ``None`` when no member carries a policy or a hook — the
         model then runs full attention for the whole round, exactly as
@@ -156,8 +158,8 @@ class DecodeBatch:
                     raw[p] = selection
             for p, member in enumerate(members):
                 if not member.needs_selector:
-                    # The looped path passes selector=None for this request:
-                    # no selections are recorded, attention is unrestricted.
+                    # Like decode_step(..., selector=None) for this
+                    # request: no selections, attention is unrestricted.
                     continue
                 chosen = raw[p]
                 if chosen is None:

@@ -24,12 +24,11 @@ policy selection dispatches per policy class to cross-request batch kernels:
 ADC scoring/top-k (:func:`~repro.core.pqcache.topk_middle_grouped`), grouped
 PQ encoding (:func:`~repro.core.pqcache.append_tokens_grouped`), grouped
 sort-dedup assembly for the dropping baselines, and length-grouped einsum
-attention over ``(request, kv_head)`` entries.  The fused round is
-byte-identical to the per-request loop
-(tokens, logits, selections, simulated clock and counters);
-``decode_batching=False`` keeps the per-request loop as an escape hatch,
-and a round whose block reservations might need the pool-pressure ladder
-(evictions/preemptions) falls back to it automatically.
+attention over ``(request, kv_head)`` entries.  It is the only decode
+path, byte-identical to decoding each request alone.  Under a bounded pool
+the round is split at pressure points (see :meth:`InferenceEngine.step`),
+so pool-pressure charges land on the simulated clock exactly where
+decoding the requests one at a time would put them.
 
 Prefilling runs in one of two modes.  By default an admitted request
 prefills its whole prompt during the admission step (monolithic).  With
@@ -103,17 +102,15 @@ paper's hardware terms even though the substrate runs in NumPy.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from ..baselines.base import KVCachePolicy
 from ..errors import ConfigurationError
-from ..llm.generation import StepSelections
 from ..llm.kvcache import (
     BlockAllocator,
     BlockTable,
-    KVCache,
     PagedKVCache,
     SwapSpace,
 )
@@ -131,9 +128,6 @@ from .slo import SLOTuner
 from .state import RequestState
 
 __all__ = ["InferenceEngine"]
-
-#: backwards-compatible alias — the state class moved to :mod:`.state`
-_RequestState = RequestState
 
 
 class InferenceEngine(PoolPressureMixin):
@@ -181,13 +175,6 @@ class InferenceEngine(PoolPressureMixin):
             surface: ``"int8"``/``"int4"``/``"int4-outlier"`` trade exact
             restores on spilled-chain cache hits for NVMe bandwidth, within
             the codec's declared per-element error bound.
-        decode_batching: run each engine step's decode phase as one *fused*
-            multi-request round (:meth:`TransformerLM.decode_step_batch` over
-            a :class:`~repro.serve.decode_batch.DecodeBatch` plan) instead of
-            one :meth:`TransformerLM.decode_step` call per request.  The
-            fused round is byte-identical to the per-request loop; ``False``
-            restores the loop, and rounds whose block reservations might
-            trigger the pool-pressure ladder fall back to it automatically.
         cache_decoded_blocks: also cache the blocks a request fills while
             *decoding*, so a follow-up turn embedding the answer reuses them.
             **Approximate reuse — off by default**: decoded tokens' KV was
@@ -218,13 +205,11 @@ class InferenceEngine(PoolPressureMixin):
         swap_cpu_blocks: int | None = None,
         swap_disk_blocks: int | None = None,
         enable_disk_spill: bool = True,
-        decode_batching: bool = True,
         kv_swap_codec: "str | KVBlockCodec | None" = "byteplane",
         kv_spill_codec: "str | KVBlockCodec | None" = None,
         slo_tuner: "SLOTuner | None" = None,
     ) -> None:
         self.model = model
-        self.decode_batching = decode_batching
         self.scheduler: ContinuousBatchingScheduler[RequestState] = (
             ContinuousBatchingScheduler(scheduler_config)
         )
@@ -534,24 +519,35 @@ class InferenceEngine(PoolPressureMixin):
             self._run_prefill_chunk(state, num_tokens, new_tokens)
             touch(state)
 
-        decoding = [
-            state
-            for state in decision.decodes
-            if not state.finished and state.status is RequestStatus.RUNNING
-        ]
-        if decoding and self.decode_batching and self._can_fuse_decodes(decoding):
-            for state in decoding:
-                touch(state)
-            self._run_decode_batch(decoding, new_tokens)
-        else:
-            # Per-request escape hatch — also the fallback when the fused
-            # round's block reservations might need the pressure ladder.
-            # Eligibility is re-checked per iteration: an earlier round's
-            # reservation may preempt (park) a later member of this batch.
-            for state in decoding:
-                if not state.finished and state.status is RequestStatus.RUNNING:
-                    touch(state)
-                    self._run_decode_round(state, new_tokens)
+        # Decode: members gather into fused runs while their append demand
+        # (an upper bound — earlier copy-on-write copies only shrink it) fits
+        # the free pool.  A member that does not fit flushes the pending run,
+        # then reserves its own blocks through the pressure ladder (or parks)
+        # and starts the next run, so every ladder charge lands between the
+        # same two members' decode charges as when each is decoded alone.
+        allocator = self.block_allocator
+        bounded = allocator is not None and allocator.capacity_blocks is not None
+        run: list[RequestState] = []
+        pending = 0
+        for state in decision.decodes:
+            if state.status is not RequestStatus.RUNNING:
+                continue  # finished or parked earlier this step
+            touch(state)
+            needed = 0
+            if bounded and state.paged is not None and not state.paged.released:
+                needed = self._append_blocks_needed(state, 1)
+            if needed and pending + needed > allocator.num_available:
+                if run:
+                    self._run_decode_batch(run, new_tokens)
+                    run, pending = [], 0
+                needed = self._append_blocks_needed(state, 1)
+                if not self._ensure_blocks(state, needed):
+                    self._preempt_victim(state)
+                    continue
+            pending += needed
+            run.append(state)
+        if run:
+            self._run_decode_batch(run, new_tokens)
 
         # Backstop settlement: spills triggered by allocation hooks inside
         # the model's own appends (rare — reservations normally cover them).
@@ -1015,146 +1011,23 @@ class InferenceEngine(PoolPressureMixin):
 
     # ------------------------------------------------------------- decode
 
-    def _run_decode_round(self, state: RequestState, new_tokens: dict[str, list[int]]) -> None:
-        assert state.prefill is not None
-        request = state.request
-        policy = state.policy
-        cache = state.prefill.kvcache
-        if state.paged is not None and not state.paged.released:
-            # One appended token may need a fresh tail block and/or a COW
-            # copy of a shared tail block; reserve before the model writes.
-            # If an older request owns the pool, park and resume later.
-            if not self._ensure_blocks(state, self._append_blocks_needed(state, 1)):
-                self._preempt_victim(state)
-                return
-        token = state.next_input_token()
-
-        step_selections: StepSelections = []
-        attended: list[float] = []
-        num_kv_heads = self.model.config.num_kv_heads
-        hook = request.selection_hook
-
-        selector = None
-        if policy is not None or hook is not None:
-
-            def selector(layer_index: int, query: np.ndarray, kvcache: KVCache):
-                chosen = (
-                    policy.select(layer_index, query, kvcache)
-                    if policy is not None
-                    else None
-                )
-                if chosen is None:
-                    normalised = None
-                    attended.append(float(len(kvcache[layer_index])))
-                elif isinstance(chosen, (list, tuple)):
-                    normalised = [np.asarray(c, dtype=np.int64) for c in chosen]
-                    attended.append(float(np.mean([c.size for c in normalised])))
-                else:
-                    arr = np.asarray(chosen, dtype=np.int64)
-                    normalised = [arr] * num_kv_heads
-                    attended.append(float(arr.size))
-                if hook is not None:
-                    hook(layer_index, query, kvcache, normalised)
-                step_selections.append(normalised)
-                return chosen
-
-        logits = self.model.decode_step(token, cache, selector)
-        if policy is not None:
-            policy.on_decode_step(cache)
-        self._bill_maintenance(state, policy)
-        state.num_decoded += 1
-        state.step_logits.append(logits)
-        state.selections.append(step_selections)
-        self.metrics.decode_rounds += 1
-        state.metrics.decode_steps += 1
-        if selector is None:
-            # Full attention without a policy: every cached token participates.
-            attended = [float(cache.seq_len)] * self.model.config.num_layers
-        state.metrics.attended_tokens += float(np.mean(attended)) if attended else 0.0
-
-        seq_len = cache.seq_len
-        hit_rate = self._gpu_cache_hit_rate(policy)
-        if policy is not None:
-            comm = policy.step_communication_bytes(seq_len)
-            state.metrics.comm_overlappable_bytes += comm.get("overlappable", 0.0)
-            state.metrics.comm_blocking_bytes += comm.get("blocking", 0.0)
-        seconds = self.latency.tpot(seq_len, state.method, cache_hit_rate=hit_rate)
-        self.metrics.clock += seconds
-        state.metrics.decode_seconds += seconds
-
-        if state.forced is not None:
-            if state.num_decoded >= len(state.forced):
-                self._finish(state, "length")
-            return
-
-        next_token = state.pick_token(logits)
-        if state.num_decoded >= request.sampling.max_new_tokens:
-            self._finish(state, "length")
-            return
-        if state.num_decoded < len(state.generated):
-            # Recompute-resume replay: this round re-derived a token that was
-            # already emitted before the preemption — verify determinism and
-            # do not re-emit or re-count it.
-            if next_token != state.generated[state.num_decoded]:
-                raise ConfigurationError(
-                    f"recompute replay diverged at decode step "
-                    f"{state.num_decoded}: {next_token} != "
-                    f"{state.generated[state.num_decoded]}"
-                )
-            return
-        state.generated.append(next_token)
-        state.metrics.num_generated_tokens += 1
-        self.metrics.generated_tokens += 1
-        new_tokens.setdefault(request.request_id, []).append(next_token)
-        if state.is_stop(next_token):
-            self._finish(state, "stop")
-
-    def _can_fuse_decodes(self, states: "list[RequestState]") -> bool:
-        """Whether this round's appends fit the pool without the ladder.
-
-        The fused round must not hit the pressure escalation ladder
-        mid-flight: an eviction or preemption between two members' appends
-        would change which requests participate and reorder clock charges.
-        So the engine reserves *upfront*: it sums every member's
-        single-token append demand (:meth:`_append_blocks_needed`, an exact
-        count that only shrinks as earlier members' copy-on-write copies
-        drop shared refcounts) and fuses only when the pool can supply the
-        sum outright.  Under that guarantee each member's in-round
-        allocation trivially succeeds and every per-member
-        :meth:`_ensure_blocks` call would have been a side-effect-free
-        no-op, so the fused path skips them.  Otherwise the caller runs the
-        per-request loop, which handles pressure one request at a time.
-        """
-        allocator = self.block_allocator
-        if allocator is None or allocator.capacity_blocks is None:
-            return True
-        needed = 0
-        for state in states:
-            if state.paged is not None and not state.paged.released:
-                needed += self._append_blocks_needed(state, 1)
-        if needed == 0:
-            return True
-        available = allocator.num_available
-        return available is not None and needed <= available
-
     def _run_decode_batch(
         self, states: "list[RequestState]", new_tokens: dict[str, list[int]]
     ) -> None:
-        """One fused decode round over every ``RUNNING`` request.
+        """One fused decode round over ``states`` (all ``RUNNING``).
 
-        Byte-identical to calling :meth:`_run_decode_round` per request in
-        the same order: the model computes the round layer-major across
-        requests (per-request state is isolated, so the arithmetic cannot
-        differ), policy hooks run through their grouped batch kernels
-        (contractually bitwise equal to the per-request hooks), and the
-        billing phase below replays the looped path's per-request tail —
-        counters, attended means, GPU-cache hit rate, communication bytes,
-        simulated TPOT, maintenance billing, forced/replay/stop handling —
-        member by member in the original decode order, so every clock
-        addition happens in the exact sequence the loop would produce.
+        Byte-identical to decoding each member alone, in order: the model
+        computes the round layer-major across requests (per-request state
+        is isolated, so the arithmetic cannot differ), policy hooks run
+        through their grouped batch kernels (contractually bitwise equal to
+        the per-request hooks), and the billing phase below runs each
+        member's tail — counters, attended means, GPU-cache hit rate,
+        communication bytes, simulated TPOT, maintenance billing,
+        forced/replay/stop handling — member by member in decode order.
 
-        Only callable under the :meth:`_can_fuse_decodes` guarantee (no
-        block reservation can fail, no member can be preempted mid-round).
+        :meth:`step` has already made every member's append fit the free
+        pool, so no block reservation can fail and no member can be
+        preempted mid-round.
         """
         batch = DecodeBatch.plan(states, self.model.config.num_kv_heads)
         members = batch.members
@@ -1205,7 +1078,9 @@ class InferenceEngine(PoolPressureMixin):
                 self._finish(state, "length")
                 continue
             if state.num_decoded < len(state.generated):
-                # Recompute-resume replay — see :meth:`_run_decode_round`.
+                # Recompute-resume replay: this round re-derived a token
+                # that was already emitted before the preemption — verify
+                # determinism and do not re-emit or re-count it.
                 if next_token != state.generated[state.num_decoded]:
                     raise ConfigurationError(
                         f"recompute replay diverged at decode step "
@@ -1240,7 +1115,7 @@ class InferenceEngine(PoolPressureMixin):
         engine charges it as a clustering timeline task — the same
         analytical cost model the prefill-time PQ build uses, once per layer
         — so the refresh knob has an honest simulated-latency price.  Runs
-        in both decode paths, immediately after the policy's post-append
+        for every decode member, immediately after the policy's post-append
         hook and before the step's TPOT charge.
         """
         if policy is None:

@@ -91,7 +91,7 @@ class QuantileDigest:
     def __eq__(self, other: object) -> bool:
         """Value equality: same grid, same bucket contents.  Two digests
         fed identical observation streams compare equal — the property
-        the fused-vs-looped engine-metrics identity checks lean on."""
+        engine-metrics identity checks lean on."""
         if not isinstance(other, QuantileDigest):
             return NotImplemented
         return (
@@ -441,13 +441,14 @@ class EngineMetrics:
     ``steps`` counts :meth:`~repro.serve.InferenceEngine.step` calls — one
     per scheduler tick regardless of how many requests it served.
     ``decode_rounds`` counts *per-request* decode rounds: one fused
-    multi-request round still increments ``decode_rounds`` once per
-    participating request, exactly like the per-request loop, so dashboards
-    and rate formulas built on it do not shift when ``decode_batching``
-    toggles.  The fused path's own shape is reported separately by
-    ``decode_batch_rounds`` (fused rounds executed) and
-    ``decode_batch_requests`` (members across them; their ratio is the mean
-    batch size), plus the ``decode_batch_size_*`` histogram buckets.
+    multi-request round increments it once per participating request, so
+    it does not depend on how requests were batched.  The fused rounds'
+    own shape is reported separately by ``decode_batch_rounds`` (fused
+    rounds executed — a step whose round was split at pool-pressure points
+    runs several) and ``decode_batch_requests`` (members across them; their
+    ratio is the mean batch size, and every decode member is in exactly one
+    fused round, so it always equals ``decode_rounds``), plus the
+    ``decode_batch_size_*`` histogram buckets.
 
     The ``decode_*_seconds`` stage counters are *host wall-clock* seconds
     (``time.perf_counter``), not simulated latency-model seconds: they break
@@ -512,8 +513,8 @@ class EngineMetrics:
     spill_in_wire_bytes: float = 0.0
     codec_encode_seconds: float = 0.0
     codec_decode_seconds: float = 0.0
-    #: fused decode-round observability (all zero when decode batching is
-    #: off): rounds / members / batch-size histogram, host wall-clock stage
+    #: fused decode-round observability: rounds / members / batch-size
+    #: histogram, host wall-clock stage
     #: breakdown, and PQ drift-refresh accounting (``pq_refresh_seconds`` is
     #: *simulated* clustering time billed to the clock, unlike the
     #: ``decode_*_seconds`` wall-clock stages).

@@ -444,8 +444,8 @@ class TestQuantileDigest:
         assert a._counts == both._counts
         assert a.count == both.count == 1000
         assert a.quantile(0.9) == both.quantile(0.9)
-        # identical streams ⇒ value-equal digests (what the fused-vs-looped
-        # engine-metrics identity comparison relies on)
+        # identical streams ⇒ value-equal digests (what engine-metrics
+        # identity comparisons rely on)
         assert a == both
         both.observe(1.0)
         assert a != both
